@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -25,19 +26,17 @@ namespace {
 constexpr std::size_t kHeaderBytes = 40;
 constexpr std::size_t kWireFrameMin = 4 + kHeaderBytes;
 
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+// Bootstrap re-dials a peer that has not bound yet with exponential
+// backoff: quick when the peer is a moment behind, cheap when it is slow.
+constexpr std::chrono::microseconds kDialBackoffMin{100};
+constexpr std::chrono::microseconds kDialBackoffMax{5000};
+
+template <typename T>
+std::uint8_t* put_le(std::uint8_t* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    *out++ = static_cast<std::uint8_t>(v >> (8 * i));
   }
-}
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+  return out;
 }
 std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
@@ -189,8 +188,8 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_threaded(
       for (int fd : fds) {
         if (Status s = set_nonblocking(fd); !s.is_ok()) return s;
       }
-      transport->nodes_[i]->links[j] = Link{fds[0], true, {}, {}, 0, 0};
-      transport->nodes_[j]->links[i] = Link{fds[1], true, {}, {}, 0, 0};
+      transport->nodes_[i]->links[j] = Link{fds[0], true};
+      transport->nodes_[j]->links[i] = Link{fds[1], true};
     }
   }
   return transport;
@@ -259,6 +258,7 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
   for (NodeId peer = 0; peer < self; ++peer) {
     TC_ASSIGN_OR_RETURN(Endpoint pep, parse_endpoint(endpoints[peer]));
     int fd = -1;
+    std::chrono::microseconds backoff = kDialBackoffMin;
     for (;;) {
       fd = ::socket(pep.is_unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
       if (fd < 0) return errno_status("socket(dial)");
@@ -284,31 +284,26 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
       if (rc == 0) break;
       ::close(fd);
       fd = -1;
-      if (std::chrono::steady_clock::now() >= deadline) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) {
         return unavailable("bootstrap: node " + std::to_string(peer) +
                            " never came up at " + endpoints[peer]);
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      std::this_thread::sleep_for(
+          std::min<std::chrono::steady_clock::duration>(backoff,
+                                                        deadline - now));
+      backoff = std::min(backoff * 2, kDialBackoffMax);
     }
-    Frame hello;
+    Header hello;
     hello.kind = FrameKind::kHello;
     hello.src = self;
-    Bytes wire;
-    wire.reserve(kWireFrameMin);
-    put_u32(wire, static_cast<std::uint32_t>(kHeaderBytes));
-    wire.push_back(static_cast<std::uint8_t>(hello.kind));
-    wire.push_back(0);
-    put_u16(wire, 0);
-    put_u32(wire, hello.src);
-    put_u64(wire, 0);
-    put_u64(wire, 0);
-    put_u64(wire, 0);
-    put_u64(wire, 0);
-    if (Status s = write_all(fd, wire.data(), wire.size()); !s.is_ok()) {
+    std::uint8_t wire[kWireFrameMin];
+    encode(wire, hello, {});
+    if (Status s = write_all(fd, wire, sizeof(wire)); !s.is_ok()) {
       ::close(fd);
       return s;
     }
-    state.links[peer] = Link{fd, true, {}, {}, 0, 0};
+    state.links[peer] = Link{fd, true};
   }
 
   // 3. Accept every higher-id peer; the kHello names which one each is.
@@ -339,16 +334,15 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
       ::close(fd);
       return s;
     }
-    const std::uint32_t len = get_u32(hello);
-    const NodeId peer = get_u32(hello + 8);
-    if (len != kHeaderBytes ||
-        static_cast<FrameKind>(hello[4]) != FrameKind::kHello ||
+    const Header h = decode(hello + 4);
+    const NodeId peer = h.src;
+    if (get_u32(hello) != kHeaderBytes || h.kind != FrameKind::kHello ||
         peer <= self || peer >= node_count || state.links[peer].fd >= 0) {
       ::close(fd);
       return internal_error("bootstrap: malformed hello from peer " +
                             std::to_string(peer));
     }
-    state.links[peer] = Link{fd, true, {}, {}, 0, 0};
+    state.links[peer] = Link{fd, true};
     --expected;
   }
 
@@ -516,70 +510,79 @@ void SocketTransport::fail_completions_for_peer(NodeId node, NodeId peer) {
 
 // --- wire codec ---------------------------------------------------------------
 
-static Bytes encode_wire(const std::uint8_t kind, std::uint8_t code,
-                         std::uint16_t am_id, NodeId src, std::uint64_t cid,
-                         std::uint64_t f0, std::uint64_t f1, std::uint64_t f2,
-                         ByteSpan payload) {
-  Bytes out;
-  out.reserve(kWireFrameMin + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(kHeaderBytes + payload.size()));
-  out.push_back(kind);
-  out.push_back(code);
-  put_u16(out, am_id);
-  put_u32(out, src);
-  put_u64(out, cid);
-  put_u64(out, f0);
-  put_u64(out, f1);
-  put_u64(out, f2);
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+void SocketTransport::encode(std::uint8_t* out, const Header& h,
+                             ByteSpan payload) {
+  out = put_le(out, static_cast<std::uint32_t>(kHeaderBytes + payload.size()));
+  *out++ = static_cast<std::uint8_t>(h.kind);
+  *out++ = h.code;
+  out = put_le<std::uint16_t>(out, h.am_id);
+  out = put_le<std::uint32_t>(out, h.src);
+  out = put_le(out, h.cid);
+  out = put_le(out, h.f0);
+  out = put_le(out, h.f1);
+  out = put_le(out, h.f2);
+  if (!payload.empty()) std::memcpy(out, payload.data(), payload.size());
 }
 
-Status SocketTransport::send_frame(NodeId node, NodeId peer, Bytes wire,
-                                   bool control) {
+SocketTransport::Header SocketTransport::decode(const std::uint8_t* p) {
+  Header h;
+  h.kind = static_cast<FrameKind>(p[0]);
+  h.code = p[1];
+  h.am_id = get_u16(p + 2);
+  h.src = get_u32(p + 4);
+  h.cid = get_u64(p + 8);
+  h.f0 = get_u64(p + 16);
+  h.f1 = get_u64(p + 24);
+  h.f2 = get_u64(p + 32);
+  return h;
+}
+
+Status SocketTransport::send_frame(NodeId node, NodeId peer, const Header& h,
+                                   ByteSpan payload, bool control) {
+  if (peer == node) {
+    Frame frame;
+    static_cast<Header&>(frame) = h;
+    frame.payload.assign(payload.begin(), payload.end());
+    handle_frame(node, std::move(frame));
+    return Status::ok();
+  }
   NodeState& state = *nodes_[node];
-  Link& link = state.links[peer];
-  if (link.fd < 0) {
+  if (peer >= node_count_ || state.links[peer].fd < 0) {
     return invalid_argument("no link from node " + std::to_string(node) +
                             " to node " + std::to_string(peer));
   }
+  Link& link = state.links[peer];
   if (!link.connected) {
     return unavailable("peer " + std::to_string(peer) + " disconnected");
   }
-  if (!control && link.tx_queued >= options_.send_buffer_bytes) {
+  if (!control && link.unwritten() >= options_.send_buffer_bytes) {
     backpressure_rejects_.fetch_add(1, std::memory_order_relaxed);
     return backpressure_status(node, peer);
   }
-  link.tx_queued += wire.size();
-  link.tx.push_back(std::move(wire));
+  const std::size_t at = link.tx.size();
+  link.tx.resize(at + kWireFrameMin + payload.size());
+  encode(link.tx.data() + at, h, payload);
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  flush_link(node, peer);
+  // Inside a progress step the step's end flushes (see file comment).
+  if (state.step_depth == 0) flush_link(node, peer);
   return Status::ok();
 }
 
 bool SocketTransport::flush_link(NodeId node, NodeId peer) {
-  NodeState& state = *nodes_[node];
-  Link& link = state.links[peer];
-  if (!link.connected) return false;
+  Link& link = nodes_[node]->links[peer];
   bool wrote = false;
-  while (!link.tx.empty()) {
-    const Bytes& front = link.tx.front();
-    const std::size_t want = front.size() - link.tx_front_off;
-    const ssize_t n = ::send(link.fd, front.data() + link.tx_front_off, want,
-                             MSG_NOSIGNAL);
+  while (link.connected && link.unwritten() > 0) {
+    const ssize_t n = ::send(link.fd, link.tx.data() + link.tx_off,
+                             link.unwritten(), MSG_NOSIGNAL);
     if (n > 0) {
       wrote = true;
+      send_calls_.fetch_add(1, std::memory_order_relaxed);
       bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
                             std::memory_order_relaxed);
-      link.tx_queued -= static_cast<std::size_t>(n);
-      link.tx_front_off += static_cast<std::size_t>(n);
-      if (link.tx_front_off == front.size()) {
-        link.tx.pop_front();
-        link.tx_front_off = 0;
-      } else {
-        // The kernel took part of the frame: honest partial write. The
-        // remainder stays queued; frame bytes never interleave because the
-        // front frame always finishes first.
+      link.tx_off += static_cast<std::size_t>(n);
+      if (link.unwritten() > 0) {
+        // The kernel buffer is full: honest partial write. The tail stays
+        // in place for the next flush, so frame bytes never interleave.
         partial_writes_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
@@ -591,6 +594,14 @@ bool SocketTransport::flush_link(NodeId node, NodeId peer) {
       disconnect_link(node, peer, "write failed");
       break;
     }
+  }
+  if (link.unwritten() == 0) {
+    link.tx.clear();
+    link.tx_off = 0;
+  } else if (link.tx_off >= link.unwritten()) {
+    link.tx.erase(link.tx.begin(),
+                  link.tx.begin() + static_cast<std::ptrdiff_t>(link.tx_off));
+    link.tx_off = 0;
   }
   return wrote;
 }
@@ -638,35 +649,40 @@ void SocketTransport::parse_frames(NodeId node, NodeId peer, Link& link) {
   while (link.rx.size() - off >= 4) {
     const std::uint32_t len = get_u32(link.rx.data() + off);
     if (len < kHeaderBytes || len > options_.max_frame_bytes) {
-      TC_LOG(kError, "socket")
-          << "node " << node << ": protocol error from peer " << peer
-          << " (frame length " << len << ")";
-      disconnect_link(node, peer, "protocol error");
+      protocol_error(node, peer, "frame length " + std::to_string(len));
       return;  // disconnect_link cleared rx
     }
     if (link.rx.size() - off - 4 < len) break;
     const std::uint8_t* p = link.rx.data() + off + 4;
     Frame frame;
-    frame.kind = static_cast<FrameKind>(p[0]);
-    frame.code = p[1];
-    frame.am_id = get_u16(p + 2);
-    frame.src = get_u32(p + 4);
-    frame.cid = get_u64(p + 8);
-    frame.f0 = get_u64(p + 16);
-    frame.f1 = get_u64(p + 24);
-    frame.f2 = get_u64(p + 32);
+    static_cast<Header&>(frame) = decode(p);
+    // Replies are routed by src, so it must name the link's own peer.
+    if (frame.kind < FrameKind::kHello || frame.kind > FrameKind::kBarrier ||
+        frame.src != peer) {
+      protocol_error(node, peer,
+                     "frame kind " + std::to_string(p[0]) + " from src " +
+                         std::to_string(frame.src));
+      return;
+    }
     frame.payload.assign(p + kHeaderBytes, p + len);
     off += 4 + len;
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     handle_frame(node, std::move(frame));
-    // An ack send inside handle_frame may have torn this link down and
-    // cleared rx under us.
+    // A handler may have torn this link down and cleared rx under us.
     if (!link.connected) return;
   }
   if (off > 0) {
     link.rx.erase(link.rx.begin(),
                   link.rx.begin() + static_cast<std::ptrdiff_t>(off));
   }
+}
+
+void SocketTransport::protocol_error(NodeId node, NodeId peer,
+                                     const std::string& what) {
+  TC_LOG(kError, "socket") << "node " << node << ": protocol error from peer "
+                           << peer << " (" << what << ")";
+  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  disconnect_link(node, peer, "protocol error");
 }
 
 void SocketTransport::disconnect_link(NodeId node, NodeId peer,
@@ -680,63 +696,44 @@ void SocketTransport::disconnect_link(NodeId node, NodeId peer,
   }
   link.rx.clear();
   link.tx.clear();
-  link.tx_front_off = 0;
-  link.tx_queued = 0;
+  link.tx_off = 0;
   disconnects_.fetch_add(1, std::memory_order_relaxed);
   TC_LOG(kWarn, "socket") << "node " << node << ": link to peer " << peer
                           << " down (" << reason << ")";
   fail_completions_for_peer(node, peer);
 }
 
-void SocketTransport::reply(NodeId node, NodeId peer, Frame frame) {
-  if (peer == node) {
-    handle_frame(node, std::move(frame));
-    return;
-  }
+void SocketTransport::handle_frame(NodeId node, Frame frame) {
+  NodeState& state = *nodes_[node];
   // Completions and barriers must survive full tx queues or flow control
   // deadlocks the protocol above it, so replies ride as control frames; a
   // dead link is already handled by fail_completions_for_peer on the
   // other side's disconnect.
-  (void)send_frame(node, peer,
-                   encode_wire(static_cast<std::uint8_t>(frame.kind),
-                               frame.code, frame.am_id, frame.src, frame.cid,
-                               frame.f0, frame.f1, frame.f2,
-                               as_span(frame.payload)),
-                   /*control=*/true);
-}
-
-void SocketTransport::handle_frame(NodeId node, Frame frame) {
-  NodeState& state = *nodes_[node];
+  Header ack;
+  ack.kind = FrameKind::kAck;
+  ack.src = node;
+  ack.cid = frame.cid;
+  const auto reply = [&](const Status& status) {
+    ack.code = static_cast<std::uint8_t>(status.code());
+    (void)send_frame(node, frame.src, ack,
+                     {reinterpret_cast<const std::uint8_t*>(
+                          status.message().data()),
+                      status.message().size()},
+                     /*control=*/true);
+  };
   switch (frame.kind) {
     case FrameKind::kHello:
       break;  // only meaningful during bootstrap
     case FrameKind::kSend: {
       state.worker.deliver_message(std::move(frame.payload), frame.src);
-      if (frame.cid != 0) {
-        Frame ack;
-        ack.kind = FrameKind::kAck;
-        ack.src = node;
-        ack.cid = frame.cid;
-        reply(node, frame.src, std::move(ack));
-      }
+      if (ack.cid != 0) reply(Status::ok());
       break;
     }
     case FrameKind::kAm: {
       Status status = state.worker.deliver_am(frame.am_id,
                                               std::move(frame.payload),
                                               frame.src);
-      if (frame.cid != 0) {
-        Frame ack;
-        ack.kind = FrameKind::kAck;
-        ack.src = node;
-        ack.cid = frame.cid;
-        ack.code = static_cast<std::uint8_t>(status.code());
-        if (!status.is_ok()) {
-          ack.payload.assign(status.message().begin(),
-                             status.message().end());
-        }
-        reply(node, frame.src, std::move(ack));
-      }
+      if (ack.cid != 0) reply(status);
       break;
     }
     case FrameKind::kPut: {
@@ -746,42 +743,33 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
         auto target = state.memory.translate(frame.f0, frame.f1,
                                              frame.payload.size());
         if (target.is_ok()) {
-          std::memcpy(*target, frame.payload.data(), frame.payload.size());
+          std::copy(frame.payload.begin(), frame.payload.end(), *target);
         } else {
           status = target.status();
         }
       }
-      if (frame.cid != 0) {
-        Frame ack;
-        ack.kind = FrameKind::kAck;
-        ack.src = node;
-        ack.cid = frame.cid;
-        ack.code = static_cast<std::uint8_t>(status.code());
-        if (!status.is_ok()) {
-          ack.payload.assign(status.message().begin(),
-                             status.message().end());
-        }
-        reply(node, frame.src, std::move(ack));
-      }
+      if (ack.cid != 0) reply(status);
       break;
     }
     case FrameKind::kGet: {
-      Frame ack;
       ack.kind = FrameKind::kGetAck;
-      ack.src = node;
-      ack.cid = frame.cid;
+      Bytes data;
+      Status status = Status::ok();
       {
         std::lock_guard lock(state.mem_mu);
         auto source = state.memory.translate(frame.f0, frame.f1, frame.f2);
         if (source.is_ok()) {
-          ack.payload.assign(*source, *source + frame.f2);
+          data.assign(*source, *source + frame.f2);
         } else {
-          ack.code = static_cast<std::uint8_t>(source.status().code());
-          ack.payload.assign(source.status().message().begin(),
-                             source.status().message().end());
+          status = source.status();
         }
       }
-      reply(node, frame.src, std::move(ack));
+      if (status.is_ok()) {
+        (void)send_frame(node, frame.src, ack, as_span(data),
+                         /*control=*/true);
+      } else {
+        reply(status);
+      }
       break;
     }
     case FrameKind::kAck: {
@@ -830,127 +818,80 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
 void SocketTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
                                 std::size_t fragments,
                                 CompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
+  if (local_state(src) == nullptr) {
     if (on_complete) {
       on_complete(invalid_argument("post_send: node " + std::to_string(src) +
                                    " is not local"));
     }
     return;
   }
-  std::uint64_t cid = 0;
-  if (on_complete) cid = stash_completion(src, dst, std::move(on_complete));
-  if (src == dst) {
-    Frame frame;
-    frame.kind = FrameKind::kSend;
-    frame.src = src;
-    frame.cid = cid;
-    frame.f0 = fragments;
-    frame.payload.assign(data.begin(), data.end());
-    handle_frame(src, std::move(frame));
-    return;
-  }
-  Status posted = send_frame(
-      src, dst,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kSend), 0, 0, src, cid,
-                  fragments, 0, 0, data),
-      /*control=*/false);
-  if (!posted.is_ok() && cid != 0) complete(src, cid, std::move(posted));
+  Header h;
+  h.kind = FrameKind::kSend;
+  h.src = src;
+  if (on_complete) h.cid = stash_completion(src, dst, std::move(on_complete));
+  h.f0 = fragments;
+  Status posted = send_frame(src, dst, h, data, /*control=*/false);
+  if (!posted.is_ok() && h.cid != 0) complete(src, h.cid, std::move(posted));
 }
 
 void SocketTransport::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                               CompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
+  if (local_state(src) == nullptr) {
     if (on_complete) {
       on_complete(invalid_argument("post_am: node " + std::to_string(src) +
                                    " is not local"));
     }
     return;
   }
-  std::uint64_t cid = 0;
-  if (on_complete) cid = stash_completion(src, dst, std::move(on_complete));
-  if (src == dst) {
-    Frame frame;
-    frame.kind = FrameKind::kAm;
-    frame.src = src;
-    frame.am_id = id;
-    frame.cid = cid;
-    frame.payload.assign(payload.begin(), payload.end());
-    handle_frame(src, std::move(frame));
-    return;
-  }
-  Status posted = send_frame(
-      src, dst,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kAm), 0, id, src, cid,
-                  0, 0, 0, payload),
-      /*control=*/false);
-  if (!posted.is_ok() && cid != 0) complete(src, cid, std::move(posted));
+  Header h;
+  h.kind = FrameKind::kAm;
+  h.am_id = id;
+  h.src = src;
+  if (on_complete) h.cid = stash_completion(src, dst, std::move(on_complete));
+  Status posted = send_frame(src, dst, h, payload, /*control=*/false);
+  if (!posted.is_ok() && h.cid != 0) complete(src, h.cid, std::move(posted));
 }
 
 void SocketTransport::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
                                CompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
+  if (local_state(src) == nullptr) {
     if (on_complete) {
       on_complete(invalid_argument("post_put: node " + std::to_string(src) +
                                    " is not local"));
     }
     return;
   }
-  std::uint64_t cid = 0;
+  Header h;
+  h.kind = FrameKind::kPut;
+  h.src = src;
   if (on_complete) {
-    cid = stash_completion(src, dst.node, std::move(on_complete));
+    h.cid = stash_completion(src, dst.node, std::move(on_complete));
   }
-  if (src == dst.node) {
-    Frame frame;
-    frame.kind = FrameKind::kPut;
-    frame.src = src;
-    frame.cid = cid;
-    frame.f0 = dst.rkey;
-    frame.f1 = dst.offset;
-    frame.payload.assign(data.begin(), data.end());
-    handle_frame(src, std::move(frame));
-    return;
-  }
-  Status posted = send_frame(
-      src, dst.node,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kPut), 0, 0, src, cid,
-                  dst.rkey, dst.offset, 0, data),
-      /*control=*/false);
-  if (!posted.is_ok() && cid != 0) complete(src, cid, std::move(posted));
+  h.f0 = dst.rkey;
+  h.f1 = dst.offset;
+  Status posted = send_frame(src, dst.node, h, data, /*control=*/false);
+  if (!posted.is_ok() && h.cid != 0) complete(src, h.cid, std::move(posted));
 }
 
 void SocketTransport::post_get(NodeId src, const RemoteAddr& addr,
                                std::size_t length,
                                GetCompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
+  if (local_state(src) == nullptr) {
     if (on_complete) {
       on_complete(invalid_argument("post_get: node " + std::to_string(src) +
                                    " is not local"));
     }
     return;
   }
-  const std::uint64_t cid =
-      stash_get_completion(src, addr.node, std::move(on_complete));
-  if (src == addr.node) {
-    Frame frame;
-    frame.kind = FrameKind::kGet;
-    frame.src = src;
-    frame.cid = cid;
-    frame.f0 = addr.rkey;
-    frame.f1 = addr.offset;
-    frame.f2 = length;
-    handle_frame(src, std::move(frame));
-    return;
-  }
-  Status posted = send_frame(
-      src, addr.node,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kGet), 0, 0, src, cid,
-                  addr.rkey, addr.offset, length, {}),
-      /*control=*/false);
-  if (!posted.is_ok()) complete_get(src, cid, std::move(posted));
+  Header h;
+  h.kind = FrameKind::kGet;
+  h.src = src;
+  h.cid = stash_get_completion(src, addr.node, std::move(on_complete));
+  h.f0 = addr.rkey;
+  h.f1 = addr.offset;
+  h.f2 = length;
+  Status posted = send_frame(src, addr.node, h, {}, /*control=*/false);
+  if (!posted.is_ok()) complete_get(src, h.cid, std::move(posted));
 }
 
 // --- registered memory --------------------------------------------------------
@@ -990,13 +931,14 @@ Status SocketTransport::expose_segment(NodeId node, void* base,
 }
 
 void SocketTransport::broadcast_segment(NodeId node, const MemRegion& region) {
+  Header advert;
+  advert.kind = FrameKind::kSegment;
+  advert.src = node;
+  advert.f0 = region.rkey;
+  advert.f1 = region.length;
   for (NodeId peer = 0; peer < node_count_; ++peer) {
     if (peer == node) continue;
-    (void)send_frame(
-        node, peer,
-        encode_wire(static_cast<std::uint8_t>(FrameKind::kSegment), 0, 0, node,
-                    0, region.rkey, region.length, 0, {}),
-        /*control=*/true);
+    (void)send_frame(node, peer, advert, {}, /*control=*/true);
   }
 }
 
@@ -1096,13 +1038,16 @@ bool SocketTransport::fire_due_timers(NodeId node) {
 bool SocketTransport::progress(NodeId node) {
   NodeState* state = local_state(node);
   if (state == nullptr) return false;
+  ++state->step_depth;
   bool did_work = fire_due_timers(node);
   for (NodeId peer = 0; peer < node_count_; ++peer) {
-    if (peer == node) continue;
-    Link& link = state->links[peer];
-    if (link.fd < 0 || !link.connected) continue;
-    if (!link.tx.empty()) did_work |= flush_link(node, peer);
-    did_work |= read_link(node, peer);
+    if (peer != node) did_work |= read_link(node, peer);
+  }
+  --state->step_depth;
+  // Everything this step posted (and any tail a full kernel buffer left
+  // behind) leaves in one send(2) per link.
+  for (NodeId peer = 0; peer < node_count_; ++peer) {
+    if (peer != node) did_work |= flush_link(node, peer);
   }
   return did_work;
 }
@@ -1149,6 +1094,10 @@ Status SocketTransport::barrier(NodeId node, std::uint64_t id) {
     return failed_precondition("barrier: process mode only");
   }
   if (node_count_ == 1) return Status::ok();
+  Header msg;
+  msg.kind = FrameKind::kBarrier;
+  msg.src = node;
+  msg.f0 = id;
   if (node == 0) {
     // Coordinator: wait for everyone, then release everyone. Driving
     // progress here services peers' AMs/PUTs/GETs while they catch up.
@@ -1158,21 +1107,13 @@ Status SocketTransport::barrier(NodeId node, std::uint64_t id) {
              it->second == node_count_ - 1;
     }));
     state->barrier_arrivals.erase(id);
+    msg.f1 = 1;  // release
     for (NodeId peer = 1; peer < node_count_; ++peer) {
-      Status sent = send_frame(
-          node, peer,
-          encode_wire(static_cast<std::uint8_t>(FrameKind::kBarrier), 0, 0,
-                      node, 0, id, 1, 0, {}),
-          /*control=*/true);
-      if (!sent.is_ok()) return sent;
+      TC_RETURN_IF_ERROR(send_frame(node, peer, msg, {}, /*control=*/true));
     }
     return Status::ok();
   }
-  TC_RETURN_IF_ERROR(send_frame(
-      node, 0,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kBarrier), 0, 0, node,
-                  0, id, 0, 0, {}),
-      /*control=*/true));
+  TC_RETURN_IF_ERROR(send_frame(node, 0, msg, {}, /*control=*/true));
   TC_RETURN_IF_ERROR(run_until(
       node, [state, id] { return state->barrier_released.count(id) != 0; }));
   state->barrier_released.erase(id);

@@ -19,16 +19,40 @@
 //    PUT/GET are serviced by the target's progress context and routed back
 //    by request id. tools/tc_launch forks such a cluster.
 //
-// Flow control is honest: every link owns a bounded tx queue. When a slow
-// consumer lets it fill, new data frames fail their completion with the
-// shared fabric::backpressure_status() instead of blocking — the same
+// Send path: every link owns one contiguous tx buffer, and a posted frame's
+// header and payload are encoded straight into its tail. When the bytes
+// leave depends on who posted them:
+//
+//  * inside a progress step (AM/send handlers, completions, acks, GET
+//    replies, timers — and therefore the runtime's forwards and results)
+//    the frame is only appended; once progress() has read every link it
+//    writes each link's pending bytes with one send(2). A handler that
+//    answers a buffer of K received frames costs one syscall per link, not
+//    K. Steps nest (a handler may block in run_until); every step flushes
+//    on exit, so a nested wait never strands the bytes its reply needs.
+//  * outside a step (a client's first requests, test threads, barriers,
+//    segment adverts) the link is flushed before the post returns, so a
+//    lone send pays no extra latency.
+//
+// A short write leaves the unwritten tail in place and advances a write
+// offset; the consumed prefix is compacted away once it is at least as long
+// as the tail, so after a flush the buffer holds less than twice its
+// unwritten bytes.
+//
+// Flow control is honest: a data frame posted while a link already holds
+// send_buffer_bytes of unwritten data fails its completion with the
+// shared fabric::backpressure_status() instead of blocking (so a
+// backpressured link holds at most that budget plus one frame) — the same
 // Status the shm backend reports on a full ring, so the runtime's
 // max_send_retries policy behaves identically on both. Control frames
 // (acks, segment adverts, barriers) bypass the cap: losing a completion to
 // backpressure on the reverse path would turn flow control into a hang.
 // Peer disconnect fails every in-flight completion toward that peer with
 // kUnavailable and discards any partially received frame (counted in
-// Stats::rx_partial_discards).
+// Stats::rx_partial_discards). A frame the decoder cannot trust — a length
+// outside [header, max_frame_bytes], an unknown kind, or a source id other
+// than the link's peer — is a protocol error: counted, and the link is
+// disconnected.
 //
 // Threading contract: identical to the other backends — one progress
 // context per node; post_* from the initiating node's context; callbacks
@@ -156,10 +180,12 @@ class SocketTransport final : public Transport {
     std::uint64_t frames_received = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
+    std::uint64_t send_calls = 0;       ///< send(2) calls that wrote bytes
     std::uint64_t partial_writes = 0;   ///< short writes that left tx queued
     std::uint64_t backpressure_rejects = 0;
     std::uint64_t disconnects = 0;
     std::uint64_t rx_partial_discards = 0;  ///< mid-frame EOF
+    std::uint64_t protocol_errors = 0;      ///< untrusted frames (disconnect)
   };
   Stats stats() const {
     Stats s;
@@ -167,12 +193,14 @@ class SocketTransport final : public Transport {
     s.frames_received = frames_received_.load(std::memory_order_relaxed);
     s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
     s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
+    s.send_calls = send_calls_.load(std::memory_order_relaxed);
     s.partial_writes = partial_writes_.load(std::memory_order_relaxed);
     s.backpressure_rejects =
         backpressure_rejects_.load(std::memory_order_relaxed);
     s.disconnects = disconnects_.load(std::memory_order_relaxed);
     s.rx_partial_discards =
         rx_partial_discards_.load(std::memory_order_relaxed);
+    s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
     return s;
   }
   /// Per-node dispatch counters (local nodes only).
@@ -195,23 +223,30 @@ class SocketTransport final : public Transport {
     kSegment = 8,  ///< exposed-segment advert; f0 = rkey, f1 = length
     kBarrier = 9,  ///< f0 = barrier id, f1 = 0 arrive / 1 release
   };
-  struct Frame {
+  struct Header {
     FrameKind kind = FrameKind::kSend;
     std::uint8_t code = 0;  ///< ErrorCode for acks
     AmId am_id = 0;
     NodeId src = 0;
     std::uint64_t cid = 0;
     std::uint64_t f0 = 0, f1 = 0, f2 = 0;
+  };
+  struct Frame : Header {
     Bytes payload;
   };
+  /// Writes the length prefix, `h` and `payload` to `out`, which must hold
+  /// 44 + payload.size() bytes.
+  static void encode(std::uint8_t* out, const Header& h, ByteSpan payload);
+  /// Reads the 40 header bytes that follow the length prefix.
+  static Header decode(const std::uint8_t* p);
 
   struct Link {
     int fd = -1;
     bool connected = false;
     Bytes rx;                ///< partially received bytes, parsed in place
-    std::deque<Bytes> tx;    ///< encoded frames not yet fully written
-    std::size_t tx_front_off = 0;  ///< bytes of tx.front() already written
-    std::size_t tx_queued = 0;     ///< total unwritten bytes across tx
+    Bytes tx;                ///< encoded frames; [tx_off, size) unwritten
+    std::size_t tx_off = 0;  ///< bytes of tx already written
+    std::size_t unwritten() const { return tx.size() - tx_off; }
   };
 
   struct Timer {
@@ -241,6 +276,9 @@ class SocketTransport final : public Transport {
     /// Indexed by peer id; links[self] unused. Owned by this node's
     /// progress context.
     std::vector<Link> links;
+    /// Nesting depth of progress() on this node: non-zero means a post only
+    /// appends, and the step's end flushes (progress-context-only).
+    int step_depth = 0;
     /// Process-mode barrier state (progress-context-only).
     std::unordered_map<std::uint64_t, std::size_t> barrier_arrivals;
     std::unordered_set<std::uint64_t> barrier_released;
@@ -251,16 +289,17 @@ class SocketTransport final : public Transport {
 
   NodeState* local_state(NodeId node);
   const NodeState* local_state(NodeId node) const;
-  /// Queues an encoded frame on node->peer and flushes what the kernel
-  /// accepts. Control frames bypass the tx budget (see file comment).
-  Status send_frame(NodeId node, NodeId peer, Bytes wire, bool control);
+  /// Routes a frame from `node` to `peer`: a local target dispatches inline
+  /// (loopback); otherwise the frame is encoded onto the link and, outside
+  /// a progress step, flushed. Control frames bypass the tx budget (see
+  /// file comment).
+  Status send_frame(NodeId node, NodeId peer, const Header& h,
+                    ByteSpan payload, bool control);
   bool flush_link(NodeId node, NodeId peer);
   bool read_link(NodeId node, NodeId peer);
   void parse_frames(NodeId node, NodeId peer, Link& link);
   void handle_frame(NodeId node, Frame frame);
-  /// Routes a reply frame: local target dispatches inline (loopback),
-  /// remote targets ride the wire as control frames.
-  void reply(NodeId node, NodeId peer, Frame frame);
+  void protocol_error(NodeId node, NodeId peer, const std::string& what);
   void disconnect_link(NodeId node, NodeId peer, const char* reason);
   void fail_completions_for_peer(NodeId node, NodeId peer);
   bool fire_due_timers(NodeId node);
@@ -298,10 +337,12 @@ class SocketTransport final : public Transport {
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
+  std::atomic<std::uint64_t> send_calls_{0};
   std::atomic<std::uint64_t> partial_writes_{0};
   std::atomic<std::uint64_t> backpressure_rejects_{0};
   std::atomic<std::uint64_t> disconnects_{0};
   std::atomic<std::uint64_t> rx_partial_discards_{0};
+  std::atomic<std::uint64_t> protocol_errors_{0};
 };
 
 }  // namespace tc::fabric

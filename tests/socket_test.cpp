@@ -1,18 +1,26 @@
 // SocketTransport coverage: the shared transport conformance suite run
 // against the real-sockets backend in threaded (socketpair) mode, plus
 // socket-specific behaviour the other backends cannot exhibit — wire-codec
-// framing under concurrency, bounded-send-buffer backpressure, and abrupt
-// peer disconnect. The true multi-process deployment of the same codec is
-// exercised by socket_mp_test.cpp / tools/tc_launch.
+// framing under concurrency, per-step send coalescing, bounded-send-buffer
+// backpressure, abrupt peer disconnect, and a mutational fuzz of the wire
+// decoder against a hostile peer. The true multi-process deployment of the
+// same codec is exercised by socket_mp_test.cpp / tools/tc_launch.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fabric/socket_transport.hpp"
 #include "fabric/transport.hpp"
 #include "transport_conformance.hpp"
@@ -146,19 +154,25 @@ TEST(SocketTransport, SlowConsumerBackpressureFailsPostAndRecovers) {
   // Without draining node 1, the socketpair buffer + tx queue fill. An
   // accepted post leaves its completion pending (the ack needs node 1); a
   // rejected one fails it immediately — keep posting until that happens.
+  // An accepted post's completion fires during recovery below, so its
+  // state must outlive this loop.
+  struct Post {
+    bool fired = false;
+    Status status = internal_error("never fired");
+  };
+  std::deque<Post> posts;
   Status rejected = Status::ok();
   bool saw_reject = false;
   for (int i = 0; i < 64 && !saw_reject; ++i) {
-    Status status = internal_error("never fired");
-    bool fired = false;
-    sock.post_send(0, 1, as_span(big), 1, [&](Status s) {
-      fired = true;
-      status = std::move(s);
+    Post& post = posts.emplace_back();
+    sock.post_send(0, 1, as_span(big), 1, [&post](Status s) {
+      post.fired = true;
+      post.status = std::move(s);
     });
     for (int spin = 0; spin < 100; ++spin) (void)sock.progress(0);
-    if (fired) {
+    if (post.fired) {
       saw_reject = true;
-      rejected = status;
+      rejected = post.status;
     }
   }
   ASSERT_TRUE(saw_reject) << "64 MiB queued without a backpressure signal";
@@ -190,6 +204,8 @@ TEST(SocketTransport, SlowConsumerBackpressureFailsPostAndRecovers) {
   }
   ASSERT_TRUE(ok_fired);
   EXPECT_TRUE(ok_status.is_ok()) << ok_status.to_string();
+  EXPECT_TRUE(posts.front().fired) << "the first, accepted post was acked";
+  EXPECT_TRUE(posts.front().status.is_ok()) << posts.front().status.to_string();
 }
 
 TEST(SocketTransport, KillConnectionFailsPendingCompletionsWithUnavailable) {
@@ -225,6 +241,458 @@ TEST(SocketTransport, KillConnectionFailsPendingCompletionsWithUnavailable) {
   }
   ASSERT_TRUE(fired2);
   EXPECT_EQ(seen2.code(), ErrorCode::kUnavailable);
+}
+
+// --- send coalescing ---------------------------------------------------------
+
+std::uint32_t read_seq(ByteSpan payload) {
+  std::uint32_t seq = 0;
+  if (payload.size() == sizeof(seq)) {
+    std::memcpy(&seq, payload.data(), sizeof(seq));
+  }
+  return seq;
+}
+
+TEST(SocketTransport, PostsInsideOneStepLeaveInOneSendPerLink) {
+  // Node 1 answers one trigger AM by posting K AMs to each of nodes 0 and
+  // 2 from inside its handler, i.e. inside a progress step: the step must
+  // end with one send(2) per link, carrying all K frames in FIFO order.
+  auto socket_or = fabric::SocketTransport::create_threaded(3);
+  ASSERT_TRUE(socket_or.is_ok()) << socket_or.status().to_string();
+  fabric::SocketTransport& sock = **socket_or;
+  constexpr std::uint32_t kFanout = 32;
+  ASSERT_TRUE(sock.register_am_handler(
+                      1, 7,
+                      [&sock](ByteSpan, fabric::NodeId) {
+                        for (std::uint32_t i = 0; i < kFanout; ++i) {
+                          Bytes seq(sizeof(i));
+                          std::memcpy(seq.data(), &i, sizeof(i));
+                          sock.post_am(1, 0, 8, as_span(seq), {});
+                          sock.post_am(1, 2, 8, as_span(seq), {});
+                        }
+                      })
+                  .is_ok());
+  std::vector<std::uint32_t> got[3];
+  for (fabric::NodeId node : {0u, 2u}) {
+    ASSERT_TRUE(sock.register_am_handler(
+                        node, 8,
+                        [&got, node](ByteSpan payload, fabric::NodeId src) {
+                          EXPECT_EQ(src, 1u);
+                          got[node].push_back(read_seq(payload));
+                        })
+                    .is_ok());
+  }
+
+  const Bytes trigger{1};
+  sock.post_am(0, 1, 7, as_span(trigger), {});
+  const fabric::SocketTransport::Stats before = sock.stats();
+  // The trigger already sits in node 1's socket buffer: one step reads it,
+  // runs the handler and flushes.
+  ASSERT_TRUE(sock.progress(1));
+  const fabric::SocketTransport::Stats after = sock.stats();
+  EXPECT_EQ(after.frames_sent - before.frames_sent, 2u * kFanout);
+  EXPECT_EQ(after.send_calls - before.send_calls, 2u)
+      << "one send(2) per link per step, not one per frame";
+  EXPECT_EQ(after.partial_writes, 0u);
+
+  for (fabric::NodeId node : {0u, 2u}) {
+    Status status =
+        sock.run_until(node, [&] { return got[node].size() == kFanout; });
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    for (std::uint32_t i = 0; i < kFanout; ++i) {
+      EXPECT_EQ(got[node][i], i) << "node " << node << " frame " << i;
+    }
+  }
+}
+
+TEST(SocketTransport, PostOutsideAStepIsOnTheWireBeforeItReturns) {
+  auto socket_or = fabric::SocketTransport::create_threaded(2);
+  ASSERT_TRUE(socket_or.is_ok());
+  fabric::SocketTransport& sock = **socket_or;
+  int delivered = 0;
+  ASSERT_TRUE(sock.register_am_handler(
+                      1, 7, [&](ByteSpan, fabric::NodeId) { ++delivered; })
+                  .is_ok());
+  const std::uint64_t before = sock.stats().send_calls;
+  const Bytes payload{1, 2, 3};
+  sock.post_am(0, 1, 7, as_span(payload), {});
+  EXPECT_EQ(sock.stats().send_calls - before, 1u);
+  // Node 0 never progresses again: the frame must already be in flight.
+  Status status = sock.run_until(1, [&] { return delivered == 1; });
+  EXPECT_TRUE(status.is_ok()) << status.to_string();
+}
+
+TEST(SocketTransport, NestedWaitInsideAStepFlushesItsOwnRequest) {
+  // A timer (so: inside node 1's progress step) issues a GET and blocks in
+  // run_until for its reply. The nested steps must put the request on the
+  // wire even though the outer step has not ended yet.
+  fabric::SocketTransportOptions options;
+  options.run_until_timeout_ms = 10'000;
+  auto socket_or = fabric::SocketTransport::create_threaded(2, options);
+  ASSERT_TRUE(socket_or.is_ok());
+  fabric::SocketTransport& sock = **socket_or;
+  auto window = sock.allocate_window(0, sizeof(std::uint64_t));
+  ASSERT_TRUE(window.is_ok());
+  const std::uint64_t value = 0x5eed;
+  std::memcpy(window->base, &value, sizeof(value));
+  sock.start_progress_threads({0});
+
+  bool ran = false;
+  Status nested = internal_error("never ran");
+  std::uint64_t seen = 0;
+  sock.schedule_after(1, 0, [&] {
+    bool done = false;
+    sock.post_get(1, window->remote_addr(0, 0), sizeof(seen),
+                  [&](StatusOr<Bytes> data) {
+                    if (data.is_ok() && data->size() == sizeof(seen)) {
+                      std::memcpy(&seen, data->data(), sizeof(seen));
+                    }
+                    done = true;
+                  });
+    nested = sock.run_until(1, [&] { return done; });
+    ran = true;
+  });
+  Status outer = sock.run_until(1, [&] { return ran; });
+  sock.stop_progress_threads();
+  ASSERT_TRUE(outer.is_ok()) << outer.to_string();
+  EXPECT_TRUE(nested.is_ok()) << nested.to_string();
+  EXPECT_EQ(seen, value);
+}
+
+// --- wire decoder fuzz -------------------------------------------------------
+//
+// The node under test is node 1 of a 2-node process-mode mesh; the test
+// itself plays node 0 over a raw socket, so every byte node 1 decodes is
+// one the test wrote. The corpus is captured from the transport's own
+// encoder (node 1's posts and replies, re-addressed as if node 0 sent
+// them), then truncated, bit-flipped and given hostile length fields and
+// kind bytes. Node 1 must deliver only whole frames and either keep the
+// link or drop it with a counted protocol error; every wait is bounded.
+
+constexpr std::size_t kWireHeader = 44;  // u32 length + 40 header bytes
+constexpr fabric::AmId kFuzzAm = 9;
+
+struct RawPeer {
+  std::unique_ptr<fabric::SocketTransport> node;  ///< node 1, under test
+  int fd = -1;                                    ///< node 0's end
+  std::vector<std::size_t> am_sizes;              ///< AM payloads delivered
+  std::vector<std::size_t> msg_sizes;             ///< messages delivered
+  ~RawPeer() {
+    if (fd >= 0) ::close(fd);
+  }
+  void hang_up() {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+  void drain_messages() {
+    while (auto msg = node->try_recv(1)) msg_sizes.push_back(msg->data.size());
+  }
+  /// Bytes node 1 charged to delivered frames (header + payload each).
+  std::size_t delivered_bytes() const {
+    std::size_t total = 0;
+    for (std::size_t n : am_sizes) total += kWireHeader + n;
+    for (std::size_t n : msg_sizes) total += kWireHeader + n;
+    return total;
+  }
+};
+
+class SocketWireFuzz : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/tc_sockfuzz_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    dir_ = tmpl;
+    options_.run_until_timeout_ms = 5'000;
+    options_.connect_timeout_ms = 5'000;
+  }
+  void TearDown() override {
+    if (!dir_.empty()) ::rmdir(dir_.c_str());
+  }
+
+  /// A fresh node 1 connected to a raw node 0 owned by the test.
+  std::unique_ptr<RawPeer> connect() {
+    const auto endpoints = fabric::SocketTransport::unix_endpoints(2, dir_);
+    const std::string path = endpoints[0].substr(5);
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(listener, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listener, 1) != 0) {
+      ADD_FAILURE() << "cannot listen on " << path;
+      ::close(listener);
+      return nullptr;
+    }
+    // Node 1 dials node 0 (the backlog accepts it) and says hello.
+    auto node_or =
+        fabric::SocketTransport::create_process(2, 1, endpoints, options_);
+    auto peer = std::make_unique<RawPeer>();
+    peer->fd = ::accept(listener, nullptr, nullptr);
+    ::close(listener);
+    ::unlink(path.c_str());
+    if (!node_or.is_ok() || peer->fd < 0) {
+      ADD_FAILURE() << "bootstrap failed: " << node_or.status().to_string();
+      return nullptr;
+    }
+    peer->node = std::move(*node_or);
+    std::uint8_t hello[kWireHeader];
+    EXPECT_EQ(read_bytes(peer->fd, hello, sizeof(hello)), sizeof(hello));
+    RawPeer* raw = peer.get();
+    EXPECT_TRUE(peer->node
+                    ->register_am_handler(1, kFuzzAm,
+                                          [raw](ByteSpan payload,
+                                                fabric::NodeId) {
+                                            raw->am_sizes.push_back(
+                                                payload.size());
+                                          })
+                    .is_ok());
+    auto window = peer->node->allocate_window(1, 64);
+    EXPECT_TRUE(window.is_ok());
+    if (window.is_ok()) window_ = *window;
+    return peer;
+  }
+
+  /// Reads up to `size` bytes, waiting at most 2 s for each chunk.
+  static std::size_t read_bytes(int fd, std::uint8_t* out, std::size_t size) {
+    std::size_t got = 0;
+    while (got < size) {
+      pollfd pfd{fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 2'000) <= 0) break;
+      const ssize_t n = ::recv(fd, out + got, size - got, 0);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    return got;
+  }
+
+  /// Everything node 1 has sent to node 0 so far that the test has not read.
+  static Bytes read_sent(RawPeer& peer, std::size_t already_read) {
+    const std::size_t sent = peer.node->stats().bytes_sent;
+    Bytes out(sent - already_read);
+    out.resize(read_bytes(peer.fd, out.data(), out.size()));
+    return out;
+  }
+
+  /// Rewrites the src field of every frame in `stream` to node 0.
+  static void readdress(Bytes& stream) {
+    for (std::size_t off = 0; off + kWireHeader <= stream.size();) {
+      std::uint32_t len = 0;
+      std::memcpy(&len, stream.data() + off, sizeof(len));
+      std::memset(stream.data() + off + 8, 0, 4);
+      off += 4 + len;
+    }
+  }
+
+  /// Captures a valid node-0→node-1 stream from the transport's encoder:
+  /// a segment advert, AMs with and without completions, a send, a PUT and
+  /// a GET into node 1's window, then node 1's acks and GET reply to them.
+  Bytes capture_corpus() {
+    auto peer = connect();
+    if (peer == nullptr) return {};
+    fabric::SocketTransport& node = *peer->node;
+    EXPECT_TRUE(node.expose_segment(1, window_.base, window_.length).is_ok());
+    const Bytes payload{1, 2, 3, 4, 5, 6, 7, 8, 9};
+    const fabric::RemoteAddr slot{0, window_.rkey, 8};
+    node.post_am(1, 0, kFuzzAm, as_span(payload), [](Status) {});
+    node.post_am(1, 0, kFuzzAm, as_span(payload), {});
+    node.post_send(1, 0, as_span(payload), 1, [](Status) {});
+    node.post_put(1, slot, as_span(payload), [](Status) {});
+    node.post_get(1, slot, 16, [](StatusOr<Bytes>) {});
+    Bytes corpus = read_sent(*peer, 0);
+    readdress(corpus);
+    const std::size_t requests = corpus.size();
+
+    // Replay the requests to a fresh node 1 and capture its replies.
+    auto replier = connect();
+    if (replier == nullptr) return {};
+    EXPECT_EQ(::send(replier->fd, corpus.data(), corpus.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(corpus.size()));
+    Status status = replier->node->run_until(1, [&] {
+      return replier->node->stats().frames_received == 6;
+    });
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    Bytes replies = read_sent(*replier, 0);
+    readdress(replies);
+    corpus.insert(corpus.end(), replies.begin(), replies.end());
+    EXPECT_GT(corpus.size(), requests) << "acks and the GET reply captured";
+    return corpus;
+  }
+
+  /// Offsets at which each frame of a well-formed `stream` starts.
+  static std::vector<std::size_t> frame_starts(const Bytes& stream) {
+    std::vector<std::size_t> starts;
+    for (std::size_t off = 0; off + 4 <= stream.size();) {
+      starts.push_back(off);
+      std::uint32_t len = 0;
+      std::memcpy(&len, stream.data() + off, sizeof(len));
+      off += 4 + len;
+    }
+    return starts;
+  }
+
+  struct Outcome {
+    fabric::SocketTransport::Stats stats;
+    std::size_t delivered = 0;  ///< AMs + messages
+  };
+
+  /// Feeds `stream` to a fresh node 1 and checks the decoder invariants;
+  /// with `hang_up`, then closes node 0's end and waits for the disconnect.
+  Outcome feed(const Bytes& stream, bool hang_up, const std::string& what) {
+    SCOPED_TRACE(what);
+    Outcome out;
+    auto peer = connect();
+    if (peer == nullptr) return out;
+    fabric::SocketTransport& node = *peer->node;
+    EXPECT_EQ(::send(peer->fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(stream.size()));
+    Status status = node.run_until(1, [&] {
+      const auto s = node.stats();
+      return s.bytes_received >= stream.size() || s.disconnects > 0;
+    });
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    peer->drain_messages();
+    auto s = node.stats();
+    // Either the link is kept, or it is dropped by a counted protocol error.
+    EXPECT_EQ(s.disconnects, s.protocol_errors);
+    EXPECT_LE(s.protocol_errors, 1u);
+    // Only whole frames: every delivery was charged bytes that arrived.
+    EXPECT_LE(peer->delivered_bytes(), stream.size());
+    EXPECT_LE(s.frames_received * kWireHeader, s.bytes_received);
+    if (hang_up) {
+      peer->hang_up();
+      status = node.run_until(1, [&] { return node.stats().disconnects > 0; });
+      EXPECT_TRUE(status.is_ok()) << status.to_string();
+      peer->drain_messages();
+      s = node.stats();
+    }
+    out.stats = s;
+    out.delivered = peer->am_sizes.size() + peer->msg_sizes.size();
+    return out;
+  }
+
+  std::string dir_;
+  fabric::SocketTransportOptions options_;
+  fabric::MemRegion window_;
+};
+
+TEST_F(SocketWireFuzz, CapturedStreamDecodesCleanly) {
+  const Bytes corpus = capture_corpus();
+  ASSERT_FALSE(corpus.empty());
+  const Outcome out = feed(corpus, /*hang_up=*/true, "pristine");
+  EXPECT_EQ(out.stats.protocol_errors, 0u);
+  EXPECT_EQ(out.stats.rx_partial_discards, 0u);
+  EXPECT_EQ(out.stats.frames_received, frame_starts(corpus).size());
+  EXPECT_EQ(out.delivered, 3u) << "two AMs and one send";
+}
+
+TEST_F(SocketWireFuzz, TruncationsDeliverExactlyTheWholeFrames) {
+  const Bytes corpus = capture_corpus();
+  ASSERT_FALSE(corpus.empty());
+  const std::vector<std::size_t> starts = frame_starts(corpus);
+  std::vector<std::size_t> cuts;
+  for (std::size_t start : starts) {
+    for (std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                          std::size_t{20}, kWireHeader}) {
+      if (start + d < corpus.size()) cuts.push_back(start + d);
+    }
+  }
+  Xoshiro256 rng(0x7a11);
+  for (int i = 0; i < 24; ++i) cuts.push_back(rng.below(corpus.size()));
+  for (std::size_t cut : cuts) {
+    const Bytes prefix(corpus.begin(),
+                       corpus.begin() + static_cast<std::ptrdiff_t>(cut));
+    std::size_t whole = 0;
+    bool partial = false;
+    for (std::size_t k = 0; k < starts.size(); ++k) {
+      const std::size_t end = k + 1 < starts.size() ? starts[k + 1]
+                                                    : corpus.size();
+      if (end <= cut) {
+        ++whole;
+      } else if (starts[k] < cut) {
+        partial = true;
+      }
+    }
+    const Outcome out =
+        feed(prefix, /*hang_up=*/true, "cut at " + std::to_string(cut));
+    EXPECT_EQ(out.stats.frames_received, whole) << "cut " << cut;
+    EXPECT_EQ(out.stats.protocol_errors, 0u) << "cut " << cut;
+    EXPECT_EQ(out.stats.rx_partial_discards, partial ? 1u : 0u)
+        << "cut " << cut;
+  }
+}
+
+TEST_F(SocketWireFuzz, HostileLengthFieldsAreProtocolErrors) {
+  const Bytes corpus = capture_corpus();
+  ASSERT_FALSE(corpus.empty());
+  const std::vector<std::size_t> starts = frame_starts(corpus);
+  const std::uint32_t lengths[] = {
+      0, 39, 40, static_cast<std::uint32_t>(options_.max_frame_bytes + 1),
+      0xFFFFFFFFu};
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    for (std::uint32_t len : lengths) {
+      Bytes mutated = corpus;
+      std::memcpy(mutated.data() + starts[k], &len, sizeof(len));
+      const Outcome out =
+          feed(mutated, /*hang_up=*/false,
+               "frame " + std::to_string(k) + " length " + std::to_string(len));
+      if (len != 40) {
+        // Everything before the bad frame is delivered, then the link drops.
+        EXPECT_EQ(out.stats.protocol_errors, 1u);
+        EXPECT_EQ(out.stats.frames_received, k);
+      }
+    }
+  }
+}
+
+TEST_F(SocketWireFuzz, UnknownKindBytesAreProtocolErrors) {
+  const Bytes corpus = capture_corpus();
+  ASSERT_FALSE(corpus.empty());
+  const std::vector<std::size_t> starts = frame_starts(corpus);
+  const std::size_t k = 1;  // the AM with a completion
+  for (unsigned kind = 0; kind < 256; ++kind) {
+    Bytes mutated = corpus;
+    mutated[starts[k] + 4] = static_cast<std::uint8_t>(kind);
+    const Outcome out = feed(mutated, /*hang_up=*/false,
+                             "kind " + std::to_string(kind));
+    if (kind == 0 || kind > 9) {
+      EXPECT_EQ(out.stats.protocol_errors, 1u) << "kind " << kind;
+      EXPECT_EQ(out.stats.frames_received, k) << "kind " << kind;
+    }
+  }
+}
+
+TEST_F(SocketWireFuzz, ForgedSourceIdsAreProtocolErrors) {
+  // Acks are routed by src: a frame claiming any node but the link's peer
+  // (itself, or one that does not exist) must not be answered.
+  const Bytes corpus = capture_corpus();
+  ASSERT_FALSE(corpus.empty());
+  const std::size_t k = frame_starts(corpus)[1];  // the AM with a completion
+  for (std::uint32_t src : {1u, 2u, 0xFFFFFFFFu}) {
+    Bytes mutated = corpus;
+    std::memcpy(mutated.data() + k + 8, &src, sizeof(src));
+    const Outcome out = feed(mutated, /*hang_up=*/false,
+                             "src " + std::to_string(src));
+    EXPECT_EQ(out.stats.protocol_errors, 1u) << "src " << src;
+    EXPECT_EQ(out.stats.frames_received, 1u) << "src " << src;
+  }
+}
+
+TEST_F(SocketWireFuzz, RandomBitFlipsNeverCrashOrHang) {
+  const Bytes corpus = capture_corpus();
+  ASSERT_FALSE(corpus.empty());
+  Xoshiro256 rng(0xb17f11b5);
+  for (int round = 0; round < 1000; ++round) {
+    Bytes mutated = corpus;
+    const int flips = 1 + static_cast<int>(rng.below(4));
+    for (int f = 0; f < flips; ++f) {
+      const std::size_t bit = rng.below(mutated.size() * 8);
+      mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    (void)feed(mutated, /*hang_up=*/round % 2 == 0,
+               "round " + std::to_string(round));
+  }
 }
 
 }  // namespace
