@@ -34,37 +34,61 @@ void encode_header(ByteWriter& w, const FrameHeader& h) {
 
 }  // namespace
 
+StatusOr<FrameHeader> Frame::describe(std::uint64_t ifunc_id,
+                                      ir::CodeRepr repr,
+                                      std::size_t code_size,
+                                      std::size_t payload_size,
+                                      std::uint32_t origin_node,
+                                      bool code_only,
+                                      const obs::TraceContext* trace) {
+  if (code_size == 0) {
+    return invalid_argument("Frame::build: empty code archive");
+  }
+  if (code_only && payload_size != 0) {
+    return invalid_argument("Frame::build: code-only frame with payload");
+  }
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  if (payload_size > kMax || code_size > kMax) {
+    return invalid_argument("Frame::build: section exceeds u32");
+  }
+  FrameHeader h;
+  h.repr = static_cast<std::uint8_t>(repr);
+  h.code_only = code_only;
+  h.ifunc_id = ifunc_id;
+  h.origin_node = origin_node;
+  h.payload_size = static_cast<std::uint32_t>(payload_size);
+  h.code_size = static_cast<std::uint32_t>(code_size);
+  if (trace != nullptr && trace->traced()) h.trace = *trace;
+  return h;
+}
+
+Bytes Frame::encode(const FrameHeader& header, ByteSpan payload,
+                    ByteSpan code, bool include_code) {
+  std::size_t size = header.prefix_size() + payload.size() + kMagicSize;
+  if (include_code) size += code.size() + kMagicSize;
+  Bytes buffer;
+  buffer.reserve(size);
+  ByteWriter w(std::move(buffer));
+  encode_header(w, header);
+  w.raw(payload);
+  w.u32(kMagicPayloadEnd);
+  if (include_code) {
+    w.raw(code);
+    w.u32(kMagicCodeEnd);
+  }
+  return std::move(w).take();
+}
+
 StatusOr<Frame> Frame::build(std::uint64_t ifunc_id, ir::CodeRepr repr,
                              ByteSpan code_archive, ByteSpan payload,
                              std::uint32_t origin_node, bool code_only,
                              const obs::TraceContext* trace) {
-  if (code_archive.empty()) {
-    return invalid_argument("Frame::build: empty code archive");
-  }
-  if (code_only && !payload.empty()) {
-    return invalid_argument("Frame::build: code-only frame with payload");
-  }
-  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
-  if (payload.size() > kMax || code_archive.size() > kMax) {
-    return invalid_argument("Frame::build: section exceeds u32");
-  }
-
   Frame frame;
-  frame.header_.repr = static_cast<std::uint8_t>(repr);
-  frame.header_.code_only = code_only;
-  frame.header_.ifunc_id = ifunc_id;
-  frame.header_.origin_node = origin_node;
-  frame.header_.payload_size = static_cast<std::uint32_t>(payload.size());
-  frame.header_.code_size = static_cast<std::uint32_t>(code_archive.size());
-  if (trace != nullptr && trace->traced()) frame.header_.trace = *trace;
-
-  ByteWriter w;
-  encode_header(w, frame.header_);
-  w.raw(payload);
-  w.u32(kMagicPayloadEnd);
-  w.raw(code_archive);
-  w.u32(kMagicCodeEnd);
-  frame.bytes_ = std::move(w).take();
+  TC_ASSIGN_OR_RETURN(frame.header_,
+                      describe(ifunc_id, repr, code_archive.size(),
+                               payload.size(), origin_node, code_only, trace));
+  frame.bytes_ = encode(frame.header_, payload, code_archive,
+                        /*include_code=*/true);
   return frame;
 }
 
@@ -75,22 +99,6 @@ StatusOr<Frame> Frame::with_trace(const Frame& frame,
   return build(h.ifunc_id, static_cast<ir::CodeRepr>(h.repr),
                code_view(data, h), payload_view(data, h), h.origin_node,
                h.code_only, &trace);
-}
-
-Bytes Frame::traced_wire(const Frame& frame, const obs::TraceContext& trace,
-                         bool include_code) {
-  FrameHeader h = frame.header();
-  h.trace = trace;
-  const ByteSpan data = frame.full_view();
-  ByteWriter w;
-  encode_header(w, h);
-  w.raw(payload_view(data, frame.header()));
-  w.u32(kMagicPayloadEnd);
-  if (include_code) {
-    w.raw(code_view(data, frame.header()));
-    w.u32(kMagicCodeEnd);
-  }
-  return std::move(w).take();
 }
 
 StatusOr<FrameHeader> Frame::peek_header(ByteSpan data) {
@@ -174,6 +182,12 @@ StatusOr<bool> Frame::validate(ByteSpan data) {
   TC_RETURN_IF_ERROR(check_magic(data, h.prefix_size() + h.payload_size,
                                  kMagicPayloadEnd, "payload-end"));
   const bool has_code = data.size() == full;
+  if (h.code_only && (h.payload_size != 0 || !has_code)) {
+    // The NACK resend path is the only sender: it ships the code and
+    // nothing to execute. Anything else would be dropped unseen (or run an
+    // empty payload once its code arrived).
+    return data_loss("code-only frame with a payload or without its code");
+  }
   if (has_code) {
     TC_RETURN_IF_ERROR(
         check_magic(data, full - kMagicSize, kMagicCodeEnd, "code-end"));

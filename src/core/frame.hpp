@@ -6,7 +6,8 @@
 // whole frame; a *truncated* send (code already cached at the target)
 // transmits only the prefix through MAGIC1. The frame is never modified —
 // truncation is just a shorter send size, exactly as the paper passes a
-// smaller length to the UCP PUT.
+// smaller length to the UCP PUT. The runtime's own send path skips the
+// full buffer: Frame::encode writes just the form that ships.
 //
 // 26-byte header layout (little-endian):
 //   u16 frame magic | u8 version | u8 repr | u64 ifunc_id |
@@ -63,12 +64,24 @@ class Frame {
   static StatusOr<Frame> with_trace(const Frame& frame,
                                     const obs::TraceContext& trace);
 
-  /// Traced wire image of `frame` in its full or truncated form. Unlike
-  /// with_trace this splices only the bytes that actually ship — a traced
-  /// truncated send copies ~tens of bytes instead of the whole code
-  /// archive, which is what keeps tracing overhead flat on warm paths.
-  static Bytes traced_wire(const Frame& frame, const obs::TraceContext& trace,
-                           bool include_code);
+  /// The header build() would write for these sections, after the same
+  /// checks, without encoding anything.
+  static StatusOr<FrameHeader> describe(std::uint64_t ifunc_id,
+                                        ir::CodeRepr repr,
+                                        std::size_t code_size,
+                                        std::size_t payload_size,
+                                        std::uint32_t origin_node,
+                                        bool code_only = false,
+                                        const obs::TraceContext* trace =
+                                            nullptr);
+
+  /// Wire image of the frame `header` describes, written once into a
+  /// buffer sized up front: the header, the trace extension when traced,
+  /// the payload and MAGIC1 — the truncated form — and, with
+  /// `include_code`, the archive and MAGIC2 as well. `payload` and `code`
+  /// must have the sizes the header records.
+  static Bytes encode(const FrameHeader& header, ByteSpan payload,
+                      ByteSpan code, bool include_code);
 
   const Bytes& bytes() const { return bytes_; }
   const FrameHeader& header() const { return header_; }
@@ -90,9 +103,10 @@ class Frame {
   /// Decodes and checks the fixed header of an incoming buffer.
   static StatusOr<FrameHeader> peek_header(ByteSpan data);
 
-  /// Validates a received buffer: header check, magic delimiters, and that
-  /// its length matches either the full or the truncated form. Returns true
-  /// if the code section is present.
+  /// Validates a received buffer: header check, magic delimiters, that its
+  /// length matches either the full or the truncated form, and that a
+  /// code-only frame is full with an empty payload. Returns true if the
+  /// code section is present.
   static StatusOr<bool> validate(ByteSpan data);
 
   /// Views into a received buffer (header must have been validated).

@@ -29,7 +29,7 @@ StatusOr<IfuncLibrary> IfuncLibrary::from_archive(std::string name,
   IfuncLibrary lib;
   lib.name_ = std::move(name);
   lib.id_ = ifunc_id_for_name(lib.name_);
-  lib.serialized_ = archive.serialize();
+  lib.serialized_ = std::make_shared<const Bytes>(archive.serialize());
   lib.archive_ = std::move(archive);
   return lib;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -55,14 +56,19 @@ class IfuncLibrary {
   ir::CodeRepr repr() const { return archive_.repr(); }
 
   /// Serialized archive bytes as they appear in the frame code section.
-  const Bytes& serialized_archive() const { return serialized_; }
+  const Bytes& serialized_archive() const { return *serialized_; }
+  /// The same bytes, shared: a deferred send keeps them alive without
+  /// copying them (copies of a library share one immutable buffer).
+  const std::shared_ptr<const Bytes>& shared_archive() const {
+    return serialized_;
+  }
 
  private:
   IfuncLibrary() = default;
   std::string name_;
   std::uint64_t id_ = 0;
   ir::FatBitcode archive_;
-  Bytes serialized_;
+  std::shared_ptr<const Bytes> serialized_;
 };
 
 }  // namespace tc::core

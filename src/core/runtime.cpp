@@ -195,16 +195,21 @@ void Runtime::set_peers(std::vector<fabric::NodeId> peers) {
 
 // --- sending ---------------------------------------------------------------------
 
-StatusOr<Frame> Runtime::create_message(std::uint64_t ifunc_id,
-                                        ByteSpan payload) const {
+StatusOr<const IfuncLibrary*> Runtime::library_for_send(
+    std::uint64_t ifunc_id) const {
   auto it = registry_.find(ifunc_id);
   if (it == registry_.end()) {
     return failed_precondition("create_message: ifunc " +
                                std::to_string(ifunc_id) + " not registered");
   }
-  const IfuncLibrary& lib = it->second.library;
-  return Frame::build(lib.id(), lib.repr(), as_span(lib.serialized_archive()),
-                      payload, node_);
+  return &it->second.library;
+}
+
+StatusOr<Frame> Runtime::create_message(std::uint64_t ifunc_id,
+                                        ByteSpan payload) const {
+  TC_ASSIGN_OR_RETURN(const IfuncLibrary* lib, library_for_send(ifunc_id));
+  return Frame::build(lib->id(), lib->repr(),
+                      as_span(lib->serialized_archive()), payload, node_);
 }
 
 void Runtime::record_span(obs::SpanKind kind, const obs::TraceContext& trace,
@@ -313,10 +318,19 @@ void Runtime::post_wire_attempt(fabric::NodeId dst,
 
 Status Runtime::send_frame(fabric::NodeId dst, const Frame& frame,
                            fabric::CompletionFn on_complete) {
+  const FrameHeader& h = frame.header();
+  return send_ifunc_frame(dst, h, Frame::payload_view(frame.full_view(), h),
+                          Frame::code_view(frame.full_view(), h),
+                          std::move(on_complete));
+}
+
+Status Runtime::send_ifunc_frame(fabric::NodeId dst, FrameHeader header,
+                                 ByteSpan payload, ByteSpan code,
+                                 fabric::CompletionFn on_complete) {
   if (dst == node_) {
     return invalid_argument("send_frame: destination is the local node");
   }
-  const std::uint64_t key = sent_key(dst, frame.header().ifunc_id);
+  const std::uint64_t key = sent_key(dst, header.ifunc_id);
   bool peer_has_code = false;
   {
     std::lock_guard lock(sent_code_mu_);
@@ -325,17 +339,15 @@ Status Runtime::send_frame(fabric::NodeId dst, const Frame& frame,
   }
   if (peer_has_code) {
     ++stats_.frames_sent_truncated;
-    stats_.code_bytes_saved += frame.full_size() - frame.truncated_size();
+    stats_.code_bytes_saved += header.code_size + kMagicSize;
   } else {
     ++stats_.frames_sent_full;
-    stats_.code_bytes_sent += frame.header().code_size;
+    stats_.code_bytes_sent += header.code_size;
   }
-  if (tracing() && !frame.header().traced()) {
+  if (tracing() && !header.traced()) {
     // Root of a new request chain: mint a trace id, stamp hop 0, and ship
-    // a traced wire image instead. Everything downstream — the arrival, the
-    // execute span, any forwards — inherits this context. traced_wire
-    // splices only the bytes that actually ship, so the warm (truncated)
-    // path never copies the code archive.
+    // the frame traced. Everything downstream — the arrival, the execute
+    // span, any forwards — inherits this context.
     obs::TraceContext root;
     root.trace_id = options_.tracer->next_trace_id();
     root.hop = 0;
@@ -343,19 +355,16 @@ Status Runtime::send_frame(fabric::NodeId dst, const Frame& frame,
     // The frame carries the send span as parent, so the receiving node's
     // spans hang under it.
     root.parent_span = span;
-    const Bytes wire =
-        Frame::traced_wire(frame, root, /*include_code=*/!peer_has_code);
+    header.trace = root;
     obs::TraceContext at_send = root;
     at_send.parent_span = 0;  // the root send has no parent
     record_span(obs::SpanKind::kRootSend, at_send, span, transport_->now_ns(),
-                0, frame.header().ifunc_id, static_cast<std::uint32_t>(dst),
-                frame.header().repr, 0);
-    dispatch_frame_bytes(dst, as_span(wire), std::move(on_complete));
-    return Status::ok();
+                0, header.ifunc_id, static_cast<std::uint32_t>(dst),
+                header.repr, 0);
   }
-  dispatch_frame_bytes(
-      dst, peer_has_code ? frame.truncated_view() : frame.full_view(),
-      std::move(on_complete));
+  const Bytes wire =
+      Frame::encode(header, payload, code, /*include_code=*/!peer_has_code);
+  dispatch_frame_bytes(dst, as_span(wire), std::move(on_complete));
   return Status::ok();
 }
 
@@ -505,8 +514,13 @@ void Runtime::ship_batch(fabric::NodeId dst, std::vector<Bytes> frames,
 Status Runtime::send_ifunc(fabric::NodeId dst, std::uint64_t ifunc_id,
                            ByteSpan payload,
                            fabric::CompletionFn on_complete) {
-  TC_ASSIGN_OR_RETURN(Frame frame, create_message(ifunc_id, payload));
-  return send_frame(dst, frame, std::move(on_complete));
+  TC_ASSIGN_OR_RETURN(const IfuncLibrary* lib, library_for_send(ifunc_id));
+  const Bytes& code = lib->serialized_archive();
+  TC_ASSIGN_OR_RETURN(FrameHeader header,
+                      Frame::describe(lib->id(), lib->repr(), code.size(),
+                                      payload.size(), node_));
+  return send_ifunc_frame(dst, header, payload, as_span(code),
+                          std::move(on_complete));
 }
 
 // --- receive path -------------------------------------------------------------
@@ -1193,43 +1207,10 @@ Status Runtime::ctx_forward(ExecContext& ctx, std::uint64_t peer,
   if (it == registry_.end()) {
     return internal_error("forward: executing ifunc not in registry");
   }
-  const IfuncLibrary& lib = it->second.library;
-  obs::TraceContext child;
-  const obs::TraceContext* child_ptr = nullptr;
-  if (ctx.trace.traced() && tracing()) {
-    // The forwarded frame is the next hop of this chain, parented under
-    // the send span so the tree reads root → execute → forward → execute.
-    const std::uint32_t send_span = options_.tracer->next_span_id();
-    child.trace_id = ctx.trace.trace_id;
-    child.hop = ctx.trace.hop + 1;
-    child.parent_span = send_span;
-    child_ptr = &child;
-    obs::TraceContext at_send = child;
-    at_send.parent_span = ctx.span_id;
-    record_span(obs::SpanKind::kForwardSend, at_send, send_span,
-                transport_->now_ns(), 0, ctx.ifunc_id,
-                static_cast<std::uint32_t>(peers_[peer]),
-                static_cast<std::uint8_t>(lib.repr()), 0);
-  }
-  TC_ASSIGN_OR_RETURN(
-      Frame frame,
-      Frame::build(ctx.ifunc_id, lib.repr(), as_span(lib.serialized_archive()),
-                   payload, ctx.origin_node, /*code_only=*/false, child_ptr));
+  TC_RETURN_IF_ERROR(
+      send_from_ctx("forward", ctx, peers_[peer], ctx.ifunc_id,
+                    it->second.library, payload));
   ++ctx.forwards_issued;
-  // Depart after the compute this invocation has charged so far (e.g. HLL
-  // guard costs for the loop iterations that preceded the forward).
-  transport_->execute_on(
-      node_, 0,
-      [this, dst = peers_[peer], frame = std::move(frame)] {
-        Status sent = send_frame(dst, frame);
-        if (!sent.is_ok()) {
-          ++stats_.forward_send_failures;
-          TC_LOG(kWarn, "runtime")
-              << "node " << node_ << " deferred forward to node " << dst
-              << " failed: " << sent.to_string();
-        }
-      },
-      /*scale_cost=*/true);
   return Status::ok();
 }
 
@@ -1240,35 +1221,55 @@ Status Runtime::ctx_inject(ExecContext& ctx, std::uint64_t peer,
     return out_of_range("inject: peer index out of range");
   }
   TC_ASSIGN_OR_RETURN(std::uint64_t id, ifunc_id_by_name(ifunc_name));
-  const IfuncLibrary& lib = registry_.at(id).library;
+  // Injected work stays on the parent chain (same trace id, next hop) — it
+  // is caused by this invocation even though a different ifunc runs.
+  TC_RETURN_IF_ERROR(send_from_ctx("inject", ctx, peers_[peer], id,
+                                   registry_.at(id).library, payload));
+  ++ctx.injects_issued;
+  return Status::ok();
+}
+
+Status Runtime::send_from_ctx(const char* what, ExecContext& ctx,
+                              fabric::NodeId dst, std::uint64_t ifunc_id,
+                              const IfuncLibrary& lib, ByteSpan payload) {
   obs::TraceContext child;
-  const obs::TraceContext* child_ptr = nullptr;
   if (ctx.trace.traced() && tracing()) {
-    // Injected work stays on the parent chain (same trace id, next hop) —
-    // it is caused by this invocation even though a different ifunc runs.
+    // The sent frame is the next hop of this chain, parented under the
+    // send span so the tree reads root → execute → forward → execute.
     const std::uint32_t send_span = options_.tracer->next_span_id();
     child.trace_id = ctx.trace.trace_id;
     child.hop = ctx.trace.hop + 1;
     child.parent_span = send_span;
-    child_ptr = &child;
     obs::TraceContext at_send = child;
     at_send.parent_span = ctx.span_id;
     record_span(obs::SpanKind::kForwardSend, at_send, send_span,
-                transport_->now_ns(), 0, id,
-                static_cast<std::uint32_t>(peers_[peer]),
+                transport_->now_ns(), 0, ifunc_id,
+                static_cast<std::uint32_t>(dst),
                 static_cast<std::uint8_t>(lib.repr()), 0);
   }
-  // Keep the chain origin: results of injected work route to the request's
-  // originator, not to this intermediate node.
+  // Keep the chain origin: results route to the request's originator, not
+  // to this intermediate node.
   TC_ASSIGN_OR_RETURN(
-      Frame frame,
-      Frame::build(id, lib.repr(), as_span(lib.serialized_archive()), payload,
-                   ctx.origin_node, /*code_only=*/false, child_ptr));
-  ++ctx.injects_issued;
+      FrameHeader header,
+      Frame::describe(ifunc_id, lib.repr(), lib.serialized_archive().size(),
+                      payload.size(), ctx.origin_node, /*code_only=*/false,
+                      &child));
+  // Depart after the compute this invocation has charged so far (e.g. HLL
+  // guard costs for the loop iterations that preceded the send). Whether
+  // the peer has the code is decided at departure, in departure order.
   transport_->execute_on(
       node_, 0,
-      [this, dst = peers_[peer], frame = std::move(frame)] {
-        (void)send_frame(dst, frame);
+      [this, what, dst, header,
+       payload = Bytes(payload.begin(), payload.end()),
+       code = lib.shared_archive()] {
+        Status sent =
+            send_ifunc_frame(dst, header, as_span(payload), as_span(*code), {});
+        if (!sent.is_ok()) {
+          ++stats_.forward_send_failures;
+          TC_LOG(kWarn, "runtime")
+              << "node " << node_ << " deferred " << what << " to node "
+              << dst << " failed: " << sent.to_string();
+        }
       },
       /*scale_cost=*/true);
   return Status::ok();

@@ -306,8 +306,9 @@ class Runtime {
     /// Background promotion compiles that failed (logged once per kernel;
     /// the ifunc keeps interpreting).
     std::atomic<std::uint64_t> promotions_failed{0};
-    /// Deferred ctx_forward sends that failed after the ifunc returned
-    /// (the forward was already charged; the frame never left the node).
+    /// Deferred ctx_forward/ctx_inject sends that failed after the ifunc
+    /// returned (the send was already charged; the frame never left the
+    /// node).
     std::atomic<std::uint64_t> forward_send_failures{0};
     /// Wire sends re-shipped after a failed completion (max_send_retries).
     std::atomic<std::uint64_t> send_retries{0};
@@ -405,6 +406,24 @@ class Runtime {
   /// only place registry entries and cache tiers may be written.
   void apply_ready_promotions();
 #endif
+  /// The registered library `ifunc_id` names, for the send paths.
+  StatusOr<const IfuncLibrary*> library_for_send(std::uint64_t ifunc_id) const;
+  /// The one send path for ifunc frames (send_frame, send_ifunc, forwards,
+  /// injects). Decides whether `dst` already has the code — claiming it in
+  /// sent_code_ when not — mints a root trace for an untraced frame when
+  /// tracing is on, and encodes exactly the bytes that ship: the archive
+  /// only when the peer lacks it.
+  Status send_ifunc_frame(fabric::NodeId dst, FrameHeader header,
+                          ByteSpan payload, ByteSpan code,
+                          fabric::CompletionFn on_complete);
+  /// ctx_forward/ctx_inject: traces the next hop and queues a frame of
+  /// `lib` (registered under wire id `ifunc_id`) to leave for `dst` after
+  /// the compute the running invocation has charged so far. A send that
+  /// fails at departure is counted in Stats::forward_send_failures and
+  /// logged as a deferred `what`.
+  Status send_from_ctx(const char* what, ExecContext& ctx, fabric::NodeId dst,
+                       std::uint64_t ifunc_id, const IfuncLibrary& lib,
+                       ByteSpan payload);
   Status process_message(const fabric::ReceivedMessage& msg);
   /// One logical (non-batch) frame: result / NACK / ifunc dispatch.
   Status process_frame(ByteSpan data, fabric::NodeId source);

@@ -1029,8 +1029,12 @@ TEST(TracedBatchNackTest, TracedFramesInContainersSurviveRedelivery) {
     ctx.hop = 0;
     ctx.parent_span = tracer.next_span_id();
     trace_ids.push_back(ctx.trace_id);
-    parts.push_back(core::Frame::traced_wire(*frame, ctx,
-                                             /*include_code=*/false));
+    core::FrameHeader header = frame->header();
+    header.trace = ctx;
+    parts.push_back(core::Frame::encode(
+        header, core::Frame::payload_view(frame->full_view(), frame->header()),
+        core::Frame::code_view(frame->full_view(), frame->header()),
+        /*include_code=*/false));
   }
   auto container = core::encode_batch_frame(parts);
   ASSERT_TRUE(container.is_ok()) << container.status().to_string();

@@ -439,6 +439,39 @@ TEST_F(RuntimeTest, SpawnerInjectsAnotherIfunc) {
   EXPECT_EQ(rt_c->stats().auto_registered, 1u);
 }
 
+TEST_F(RuntimeTest, InjectThatCannotDepartIsCounted) {
+  // The peer table names b itself at index 1, so the spawner running on b
+  // injects toward its own node, which the send path refuses. The refusal
+  // happens after the ifunc returned: it must be counted and logged like a
+  // failed forward, not vanish.
+  std::vector<NodeId> peers{a_, b_};
+  rt_a_->set_peers(peers);
+  rt_b_->set_peers(peers);
+  auto spawner_id =
+      rt_a_->register_ifunc(make_library(ir::KernelKind::kSpawner));
+  ASSERT_TRUE(spawner_id.is_ok());
+  ASSERT_TRUE(
+      rt_b_->register_ifunc(make_library(ir::KernelKind::kTargetSideIncrement))
+          .is_ok());
+  std::uint64_t counter = 0;
+  rt_b_->set_target_ptr(&counter);
+
+  ByteWriter w;
+  w.u64(1);  // peer index naming b itself
+  w.u64(0);
+  w.raw(as_span(std::string_view("tsi")));
+  w.u8(0);
+  ASSERT_TRUE(rt_a_->send_ifunc(b_, *spawner_id, as_span(w.bytes())).is_ok());
+  fabric_.run_until_idle();
+
+  EXPECT_EQ(rt_b_->stats().injects, 1u);
+  EXPECT_EQ(rt_b_->stats().forward_send_failures, 1u);
+  EXPECT_EQ(rt_b_->stats().frames_sent_full +
+                rt_b_->stats().frames_sent_truncated,
+            0u);
+  EXPECT_EQ(counter, 0u);
+}
+
 TEST_F(RuntimeTest, HllLibraryExecutesWithGuardCost) {
   RuntimeOptions options;
   options.hll_guard_cost_ns = 100;
